@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify depend-race kernels-race metrics-smoke serve-smoke profile-smoke mpi-smoke mpi-race bench bench-compare bench-report bench-gate trace clean
+.PHONY: build test race vet verify depend-race kernels-race metrics-smoke serve-smoke profile-smoke mpi-smoke mpi-race bench bench-smoke bench-compare bench-report bench-gate trace clean
 
 build:
 	$(GO) build ./...
@@ -74,9 +74,8 @@ mpi-race:
 # smoke of the pool-vs-spawn overhead benchmark so a dispatch
 # regression that only bites under the pool path fails loudly, plus
 # the metrics endpoint, execution-service and profiler/flight smokes.
-verify: vet metrics-smoke serve-smoke profile-smoke depend-race kernels-race mpi-smoke mpi-race
+verify: vet metrics-smoke serve-smoke profile-smoke depend-race kernels-race mpi-smoke mpi-race race
 	$(GO) test ./...
-	$(GO) test -race -timeout 120s ./internal/rt/... ./internal/ompt/... ./internal/serve/... ./omp/...
 	$(GO) test -run=NONE -bench=BenchmarkRegionOverhead -benchtime=1x -timeout 120s ./internal/rt/
 
 # depend-race is the task-dataflow differential gate: the dependence,

@@ -533,7 +533,7 @@ func (th *Thread) execWith(fr *frame, t *minipy.With) error {
 }
 
 func (th *Thread) makeFunction(fr *frame, t *minipy.FuncDef) (*Function, error) {
-	scope := th.in.scopeOf(t)
+	scope := t.Scope()
 	fn := &Function{
 		Name:    t.Name,
 		Params:  t.Params,

@@ -53,9 +53,6 @@ type Interp struct {
 	// worker threads are checking it.
 	budget atomic.Pointer[budgetState]
 
-	scopeMu sync.Mutex
-	scopes  map[*minipy.FuncDef]*minipy.ScopeInfo
-
 	modules map[string]*Module
 
 	compileHook func(fd *minipy.FuncDef, fn *Function)
@@ -71,7 +68,6 @@ func New(opts Options) *Interp {
 		globals: NewGlobalEnv(),
 		rt:      rt.NewWithEnv(opts.Layer, opts.Getenv),
 		stdout:  opts.Stdout,
-		scopes:  make(map[*minipy.FuncDef]*minipy.ScopeInfo),
 		modules: make(map[string]*Module),
 	}
 	if opts.GIL {
@@ -215,19 +211,6 @@ func (in *Interp) CallFunction(fnName string, args ...Value) (Value, error) {
 	th := in.MainThread()
 	defer th.Release()
 	return th.Call(v, args, minipy.Position{})
-}
-
-// scopeOf returns (computing and caching) the scope info of a
-// function definition.
-func (in *Interp) scopeOf(fd *minipy.FuncDef) *minipy.ScopeInfo {
-	in.scopeMu.Lock()
-	defer in.scopeMu.Unlock()
-	if s, ok := in.scopes[fd]; ok {
-		return s
-	}
-	s := minipy.AnalyzeScope(fd.Params, fd.Body)
-	in.scopes[fd] = s
-	return s
 }
 
 // printTo writes print() output under the output lock so parallel

@@ -1,5 +1,7 @@
 package minipy
 
+import "sync/atomic"
+
 // Node is any AST node.
 type Node interface {
 	NodePos() Position
@@ -46,6 +48,21 @@ type FuncDef struct {
 	Body       []Stmt
 	Decorators []Expr
 	Returns    Expr // optional "-> type" annotation
+
+	// scope caches Scope's result on the node, so it lives and dies
+	// with the tree instead of in a table on a long-lived interpreter.
+	scope atomic.Pointer[ScopeInfo]
+}
+
+// Scope returns the function's ScopeInfo, computed on first use and
+// cached on the node. Call it only once the body is final (after any
+// transform): the cache is not invalidated by later edits.
+func (fd *FuncDef) Scope() *ScopeInfo {
+	if s := fd.scope.Load(); s != nil {
+		return s
+	}
+	fd.scope.CompareAndSwap(nil, AnalyzeScope(fd.Params, fd.Body))
+	return fd.scope.Load()
 }
 
 // Return is a return statement.

@@ -31,7 +31,8 @@ const tracePid = 1
 func us(ns int64) float64 { return float64(ns) / 1e3 }
 
 // WriteChromeTrace exports the tracer's events as Chrome trace_event
-// JSON. Call after the traced regions have joined.
+// JSON. It is safe while traced regions run, but only a trace taken
+// after they joined has every enter paired with its exit.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	recs, dropped := t.collect()
 	return WriteChromeTrace(w, recs, dropped)

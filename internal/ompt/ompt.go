@@ -6,7 +6,7 @@
 // attached Tool. With no tool attached the entire subsystem costs one
 // predictable nil-check branch per hook site.
 //
-// The built-in Tracer collects events into per-thread lock-free ring
+// The built-in Tracer collects events into bounded per-thread ring
 // buffers and exports them as a Chrome trace_event JSON (open in
 // chrome://tracing or Perfetto) or as an aggregated text summary
 // (per-thread wait time, load-imbalance factor, task-queue depth).
@@ -181,7 +181,7 @@ type Record struct {
 
 // Tool receives runtime events. Emit is called from every team
 // thread concurrently and must be safe for concurrent use; the
-// built-in Tracer routes each thread to its own lock-free ring.
+// built-in Tracer routes each thread to its own ring.
 type Tool interface {
 	Emit(rec Record)
 }

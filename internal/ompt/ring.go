@@ -1,25 +1,26 @@
 package ompt
 
-import "sync/atomic"
+import "sync"
 
 // DefaultRingSize is the per-thread ring capacity (records) used when
 // a Tracer is created with size 0. At 16384 records × ~80 bytes a
 // busy thread holds ~1.3 MB of trace.
 const DefaultRingSize = 1 << 14
 
-// ring is a single-producer ring buffer of records. Exactly one
-// goroutine (the owning thread) pushes; readers snapshot only after
-// the producer has quiesced (after the enclosing parallel region
-// joined), so pushes need no locks: the write cursor is published
-// with a single atomic store. When the ring wraps, the oldest records
-// are overwritten and counted as dropped — tracing never blocks or
-// unboundedly grows the traced program.
+// ring is a bounded ring buffer of records. Each ring has one
+// producer in practice (the thread owning its GTID), so the mutex is
+// uncontended on the push path; it buys the one property a live
+// reader needs: a coherent snapshot while the producer is still
+// pushing (a flight dump of a wedged program, /metrics reading the
+// drop count mid-region). When the ring wraps, the oldest records are
+// overwritten and counted as dropped — tracing never blocks on a
+// reader or grows without bound.
 type ring struct {
-	buf  []Record
-	mask uint64
+	mu  sync.Mutex
+	buf []Record
 	// head is the total number of records ever pushed; the next
-	// record lands at buf[head&mask].
-	head atomic.Uint64
+	// record lands at buf[head%len(buf)].
+	head uint64
 }
 
 // newRing creates a ring with capacity rounded up to a power of two.
@@ -31,33 +32,42 @@ func newRing(size int) *ring {
 	for capacity < size {
 		capacity <<= 1
 	}
-	return &ring{buf: make([]Record, capacity), mask: uint64(capacity - 1)}
+	return &ring{buf: make([]Record, capacity)}
 }
 
-// push appends one record, overwriting the oldest when full. Caller
-// must be the ring's single producer.
+// push appends one record, overwriting the oldest when full.
 func (r *ring) push(rec Record) {
-	h := r.head.Load()
-	r.buf[h&r.mask] = rec
-	// Store-release publishes the record before the new cursor.
-	r.head.Store(h + 1)
+	r.mu.Lock()
+	r.buf[r.head%uint64(len(r.buf))] = rec
+	r.head++
+	r.mu.Unlock()
+}
+
+// dropped returns the number of records lost to wrapping.
+func (r *ring) dropped() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := uint64(len(r.buf)); r.head > n {
+		return r.head - n
+	}
+	return 0
 }
 
 // snapshot returns the retained records in push order plus the count
-// of records lost to wrapping. Call only while the producer is
-// quiescent (e.g. after the traced parallel regions have joined).
+// of records lost to wrapping.
 func (r *ring) snapshot() (recs []Record, dropped uint64) {
-	h := r.head.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	n := uint64(len(r.buf))
-	if h <= n {
-		out := make([]Record, h)
-		copy(out, r.buf[:h])
+	if r.head <= n {
+		out := make([]Record, r.head)
+		copy(out, r.buf[:r.head])
 		return out, 0
 	}
-	// The ring wrapped: the oldest retained record is at head&mask.
+	// The ring wrapped: the oldest retained record is at head%n.
 	out := make([]Record, n)
-	start := h & r.mask
+	start := r.head % n
 	copy(out, r.buf[start:])
 	copy(out[n-start:], r.buf[:start])
-	return out, h - n
+	return out, r.head - n
 }

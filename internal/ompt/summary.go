@@ -7,7 +7,8 @@ import (
 )
 
 // WriteSummary exports the tracer's events as the plain-text
-// aggregate report. Call after the traced regions have joined.
+// aggregate report. Like WriteChromeTrace it is complete only after
+// the traced regions have joined.
 func (t *Tracer) WriteSummary(w io.Writer) error {
 	return t.Stats().Write(w)
 }

@@ -5,15 +5,17 @@ import (
 	"sync"
 )
 
-// Tracer is the built-in Tool: it records events into one lock-free
-// ring buffer per thread (keyed by GTID) and exports them after the
-// fact. Emit takes no locks on the steady-state path — a sync.Map
-// read plus a ring push — so the tracer perturbs the thread timings
-// it measures as little as possible.
+// Tracer is the built-in Tool: it records events into one bounded
+// ring buffer per thread (keyed by GTID) and exports them. Emit is a
+// lock-free sync.Map read plus a push under the ring's own,
+// uncontended mutex, so the tracer perturbs the thread timings it
+// measures little, and every reader is safe while regions are still
+// running.
 type Tracer struct {
 	ringSize int
-	// rings maps GTID -> *ring. Each ring has a single producer (the
-	// thread owning that GTID); the map itself is lock-free to read.
+	// rings maps GTID -> *ring. Each ring has one producer in practice
+	// (the thread owning that GTID); the map itself is lock-free to
+	// read.
 	rings sync.Map
 }
 
@@ -34,25 +36,22 @@ func (t *Tracer) Emit(rec Record) {
 	v.(*ring).push(rec)
 }
 
-// Records returns every retained event sorted by timestamp. Call
-// after the traced parallel regions have joined; snapshotting a ring
-// with a live producer is a data race.
+// Records returns every retained event sorted by timestamp. It is
+// safe while traced regions are still running: each ring is copied
+// under its lock, so a live snapshot holds a coherent prefix of every
+// thread's stream.
 func (t *Tracer) Records() []Record {
 	recs, _ := t.collect()
 	return recs
 }
 
 // Dropped returns the number of events lost to ring-buffer wrapping.
-// Unlike Records it is safe to call with live producers — it reads
-// only each ring's atomic cursor, never the buffers — so the /metrics
+// Like Records it is safe with live producers, so the /metrics
 // endpoint can export it while regions are in flight.
 func (t *Tracer) Dropped() uint64 {
 	var dropped uint64
 	t.rings.Range(func(_, v any) bool {
-		r := v.(*ring)
-		if h := r.head.Load(); h > uint64(len(r.buf)) {
-			dropped += h - uint64(len(r.buf))
-		}
+		dropped += v.(*ring).dropped()
 		return true
 	})
 	return dropped

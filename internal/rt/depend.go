@@ -5,7 +5,6 @@ import (
 
 	"github.com/omp4go/omp4go/internal/metrics"
 	"github.com/omp4go/omp4go/internal/ompt"
-	"github.com/omp4go/omp4go/internal/prof"
 )
 
 // This file implements OpenMP 4.x task dataflow on top of the task
@@ -230,60 +229,13 @@ func (t *Team) enqueueReady(ctx *Context, tk *task, byID int64) {
 // the caller runs the task anyway and the body's next synchronization
 // point reports the abort.
 func (t *Team) waitDeps(c *Context, tk *task) {
-	ready := func() bool {
+	npred := func() int64 {
 		tk.depMu.Lock()
-		r := tk.npred == 0
-		tk.depMu.Unlock()
-		return r
+		defer tk.depMu.Unlock()
+		return int64(tk.npred)
 	}
-	if ready() || t.broken.Load() != 0 {
-		return
-	}
-	if obs := c.rt.obs.Load(); obs != nil {
-		tk.depMu.Lock()
-		np := tk.npred
-		tk.depMu.Unlock()
-		c.waitSince.Store(ompt.Now())
-		c.waitKind.Store(waitDepend)
-		detail := itoa(int(np)) + " unresolved predecessor(s)"
-		c.waitDetail.Store(&detail)
-		defer func() {
-			c.waitDetail.Store(nil)
-			c.waitKind.Store(waitNone)
-			c.waitSince.Store(0)
-		}()
-	}
-	// The whole wait — minus time productively running other tasks —
-	// is dependence stall by definition: this thread is blocked on an
-	// undeferred task's unresolved predecessors.
-	pb := t.profBucket
-	var t0, taskNS int64
-	if pb != nil {
-		t0 = ompt.Now()
-		defer func() {
-			if wait := ompt.Now() - t0 - taskNS; wait > 0 {
-				pb.Add(int32(c.num), prof.DependStall, wait)
-				c.profWaitNS += wait
-			}
-		}()
-	}
-	for {
-		if ready() || t.broken.Load() != 0 {
-			return
-		}
-		if q := t.claimTask(c); q != nil {
-			if pb != nil {
-				r0 := ompt.Now()
-				t.runTask(c, q)
-				taskNS += ompt.Now() - r0
-			} else {
-				t.runTask(c, q)
-			}
-			continue
-		}
-		t.waitFor(func() bool {
-			return ready() || t.sched.hasRunnable() || t.broken.Load() != 0
-		})
+	if n := npred(); n > 0 && t.broken.Load() == 0 {
+		_ = c.waitTasks(&dependSite, n, func() bool { return npred() == 0 || t.broken.Load() != 0 })
 	}
 }
 
@@ -347,7 +299,6 @@ func (c *Context) TaskgroupBegin() {
 // executing queued tasks while it waits. Errors recorded by completed
 // children of the current task surface here, as at a taskwait.
 func (c *Context) TaskgroupEnd() error {
-	t := c.team
 	tg := c.curTG
 	if tg == nil {
 		return &MisuseError{Construct: "taskgroup",
@@ -363,65 +314,8 @@ func (c *Context) TaskgroupEnd() error {
 			c.emit(ompt.EvTaskgroupEnd, tg.id, 0, ompt.Now()-tg.startNS, label)
 		}
 	}()
-	if obs := c.rt.obs.Load(); obs != nil {
-		c.waitSince.Store(ompt.Now())
-		c.waitKind.Store(waitTaskgroup)
-		detail := "taskgroup"
-		if tg.id != 0 {
-			detail = "taskgroup #" + itoa(int(tg.id))
-		}
-		c.waitDetail.Store(&detail)
-		defer func() {
-			c.waitDetail.Store(nil)
-			c.waitKind.Store(waitNone)
-			c.waitSince.Store(0)
-		}()
-	}
-	pb := t.profBucket
-	var pt0, taskNS, depNS int64
-	if pb != nil {
-		pt0 = ompt.Now()
-		defer func() {
-			wait := ompt.Now() - pt0 - taskNS
-			if wait <= 0 {
-				return
-			}
-			dep := depNS
-			if dep > wait {
-				dep = wait
-			}
-			if tgw := wait - dep; tgw > 0 {
-				pb.Add(int32(c.num), prof.TaskgroupWait, tgw)
-			}
-			pb.Add(int32(c.num), prof.DependStall, dep)
-			c.profWaitNS += wait
-		}()
-	}
-	for tg.pending.Load() > 0 {
-		if tk := t.claimTask(c); tk != nil {
-			if pb != nil {
-				r0 := ompt.Now()
-				t.runTask(c, tk)
-				taskNS += ompt.Now() - r0
-			} else {
-				t.runTask(c, tk)
-			}
-			continue
-		}
-		if t.broken.Load() != 0 {
-			return newBrokenAbort("taskgroup")
-		}
-		stalled := pb != nil && t.depStalled.Load() > 0
-		var s0 int64
-		if stalled {
-			s0 = ompt.Now()
-		}
-		t.waitFor(func() bool {
-			return tg.pending.Load() == 0 || t.sched.hasRunnable() || t.broken.Load() != 0
-		})
-		if stalled {
-			depNS += ompt.Now() - s0
-		}
+	if err := c.waitTasks(&taskgroupSite, tg.id, func() bool { return tg.pending.Load() == 0 }); err != nil {
+		return err
 	}
 	return joinErrors(c.curTask.takeChildErrs())
 }

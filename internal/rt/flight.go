@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,11 +18,11 @@ import (
 // of recent runtime events plus periodic introspection snapshots,
 // flushed to a timestamped post-mortem dump when something goes wrong
 // — a watchdog stall report, a serve-layer budget kill, or an explicit
-// FlightDump call. The recorder is an ompt.Tool, so it rides the same
-// hook sites as tracing; unlike the Tracer's single-producer rings its
-// rings are mutex-protected, so a dump can snapshot them while the
-// producers are still running (which is the whole point: the program
-// is wedged or being killed, not joined).
+// FlightDump call. The recorder is an ompt.Tool built on an
+// ompt.Tracer, so it rides the same hook sites as tracing, and the
+// Tracer's rings snapshot safely while the producers are still running
+// (which is the whole point: the program is wedged or being killed,
+// not joined).
 
 const (
 	// defaultFlightRingSize bounds the per-thread event ring. Smaller
@@ -45,39 +44,6 @@ func defaultFlightDir() string {
 	return filepath.Join(os.TempDir(), "omp4go-flight")
 }
 
-// flightRing is a mutex-protected bounded ring of records. The mutex
-// (vs the Tracer's lock-free single-producer scheme) buys the one
-// property a flight recorder needs: a coherent snapshot while the
-// producer is live.
-type flightRing struct {
-	mu   sync.Mutex
-	buf  []ompt.Record
-	head uint64 // total records ever pushed
-}
-
-func (r *flightRing) push(rec ompt.Record) {
-	r.mu.Lock()
-	r.buf[r.head%uint64(len(r.buf))] = rec
-	r.head++
-	r.mu.Unlock()
-}
-
-func (r *flightRing) snapshot() (recs []ompt.Record, dropped uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := uint64(len(r.buf))
-	if r.head <= n {
-		out := make([]ompt.Record, r.head)
-		copy(out, r.buf[:r.head])
-		return out, 0
-	}
-	out := make([]ompt.Record, n)
-	start := r.head % n
-	copy(out, r.buf[start:])
-	copy(out[n-start:], r.buf[:start])
-	return out, r.head - n
-}
-
 // FlightSnap is one periodic introspection sample retained by the
 // recorder: the in-flight regions as the sampler saw them.
 type FlightSnap struct {
@@ -85,14 +51,13 @@ type FlightSnap struct {
 	Regions []RegionInfo `json:"regions"`
 }
 
-// FlightRecorder is the always-on crash/stall recorder. It implements
-// ompt.Tool and is attached alongside any user tool via ompt.Multi.
+// FlightRecorder is the always-on crash/stall recorder. Its embedded
+// Tracer, sized defaultFlightRingSize per thread, makes it an
+// ompt.Tool; it is attached alongside any user tool via ompt.Multi.
 type FlightRecorder struct {
-	rt       *Runtime
-	dir      string
-	ringSize int
-
-	rings sync.Map // GTID -> *flightRing
+	*ompt.Tracer
+	rt  *Runtime
+	dir string
 
 	snapMu sync.Mutex
 	snaps  []FlightSnap // oldest first, bounded by maxFlightSnaps
@@ -105,44 +70,8 @@ type FlightRecorder struct {
 	done     chan struct{}
 }
 
-// Emit records one event into the emitting thread's ring (ompt.Tool).
-func (fr *FlightRecorder) Emit(rec ompt.Record) {
-	v, ok := fr.rings.Load(rec.GTID)
-	if !ok {
-		v, _ = fr.rings.LoadOrStore(rec.GTID, &flightRing{buf: make([]ompt.Record, fr.ringSize)})
-	}
-	v.(*flightRing).push(rec)
-}
-
 // Dir returns the directory dumps are written to.
 func (fr *FlightRecorder) Dir() string { return fr.dir }
-
-// Dropped returns the number of events lost to ring wrapping.
-func (fr *FlightRecorder) Dropped() uint64 {
-	var dropped uint64
-	fr.rings.Range(func(_, v any) bool {
-		r := v.(*flightRing)
-		r.mu.Lock()
-		if n := uint64(len(r.buf)); r.head > n {
-			dropped += r.head - n
-		}
-		r.mu.Unlock()
-		return true
-	})
-	return dropped
-}
-
-// records merges every ring into one time-sorted stream.
-func (fr *FlightRecorder) records() (recs []ompt.Record, dropped uint64) {
-	fr.rings.Range(func(_, v any) bool {
-		r, d := v.(*flightRing).snapshot()
-		recs = append(recs, r...)
-		dropped += d
-		return true
-	})
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
-	return recs, dropped
-}
 
 // sample appends one periodic introspection snapshot.
 func (fr *FlightRecorder) sample() {
@@ -225,8 +154,7 @@ func (fr *FlightRecorder) Dump(reason string) (string, error) {
 		s := p.Snapshot()
 		doc.Profile = &s
 	}
-	recs, dropped := fr.records()
-	doc.Dropped = dropped
+	doc.Dropped = fr.Dropped()
 
 	path := filepath.Join(fr.dir, stem+".json")
 	f, err := os.Create(path)
@@ -247,7 +175,7 @@ func (fr *FlightRecorder) Dump(reason string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	werr = ompt.WriteChromeTrace(tf, recs, dropped)
+	werr = fr.WriteChromeTrace(tf)
 	if cerr := tf.Close(); werr == nil {
 		werr = cerr
 	}
@@ -293,7 +221,7 @@ func (r *Runtime) EnableFlight(dir string) (*FlightRecorder, error) {
 		return nil, err
 	}
 	fr := &FlightRecorder{
-		rt: r, dir: dir, ringSize: defaultFlightRingSize,
+		Tracer: ompt.NewTracer(defaultFlightRingSize), rt: r, dir: dir,
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	if !r.flight.CompareAndSwap(nil, fr) {

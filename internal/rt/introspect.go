@@ -13,30 +13,6 @@ import (
 // (watchdog.go) and the /debug/omp endpoint (serve.go) both read
 // regions through snapshotRegions.
 
-// Wait kinds published through Context.waitKind while introspection
-// is enabled.
-const (
-	waitNone int32 = iota
-	waitBarrier
-	waitTaskwait
-	waitTaskgroup
-	waitDepend
-)
-
-func waitKindString(k int32) string {
-	switch k {
-	case waitBarrier:
-		return "barrier"
-	case waitTaskwait:
-		return "taskwait"
-	case waitTaskgroup:
-		return "taskgroup"
-	case waitDepend:
-		return "depend"
-	}
-	return ""
-}
-
 // obsState is the introspection registry: the set of in-flight teams,
 // and the most recent stall reports for /debug/omp. The mutex also
 // provides the happens-before edge that makes the watchdog's reads of
@@ -118,9 +94,9 @@ type MemberInfo struct {
 // RegionInfo is the introspection view of one in-flight parallel
 // region.
 type RegionInfo struct {
-	RegionID    int32        `json:"region_id"`
-	Size        int          `json:"size"`
-	Outstanding int64        `json:"outstanding_tasks"`
+	RegionID    int32 `json:"region_id"`
+	Size        int   `json:"size"`
+	Outstanding int64 `json:"outstanding_tasks"`
 	// QueuedTasks counts the unclaimed tasks the region's scheduler
 	// holds anywhere — per-member deques, the steal scheduler's
 	// overflow list, or the list schedulers' shared queue — so it is
@@ -153,8 +129,8 @@ func (o *obsState) snapshotRegions() []RegionInfo {
 				continue
 			}
 			mi := MemberInfo{GTID: m.gtid, ThreadNum: m.num}
-			if k := m.waitKind.Load(); k != waitNone {
-				mi.Wait = waitKindString(k)
+			if site := m.waitSite.Load(); site != nil {
+				mi.Wait = site.name
 				if d := m.waitDetail.Load(); d != nil {
 					mi.WaitFor = *d
 				}

@@ -316,3 +316,28 @@ func TestTeamRecycling(t *testing.T) {
 	}
 	r.Shutdown()
 }
+
+// TestPooledSerialRegionAllocFree pins the allocation-free fork and
+// wait path: a pooled 1-thread region whose body passes an explicit
+// barrier and a childless taskwait allocates nothing, in either layer.
+func TestPooledSerialRegionAllocFree(t *testing.T) {
+	for _, l := range bothLayers {
+		r := NewWithEnv(l, poolEnv("on"))
+		ctx := r.NewContext()
+		body := func(c *Context) error {
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			return c.TaskWait()
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := r.Parallel(ctx, ParallelOpts{NumThreads: 1}, body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		r.Shutdown()
+		if allocs != 0 {
+			t.Errorf("%v: %v allocs per region, want 0", l, allocs)
+		}
+	}
+}

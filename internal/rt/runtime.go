@@ -228,7 +228,7 @@ func (r *Runtime) takeTeam(size int) *Team {
 		}
 		r.teamCacheMu.Unlock()
 	}
-	return newTeam(r, nil, size)
+	return newTeam(r, size)
 }
 
 // putTeam recycles a team whose region joined cleanly. A broken team
@@ -293,20 +293,20 @@ type Context struct {
 
 	// Profiler bookkeeping, owner-thread only (plain fields): profT0
 	// is the member's region entry stamp, profWaitNS accumulates
-	// every nanosecond the wait sites attributed to a non-compute
-	// state, so compute = (now - profT0) - profWaitNS at region end.
+	// every nanosecond attribute booked to a non-compute state, so
+	// compute = (now - profT0) - profWaitNS at region end.
 	// kernelT0 is the running compiled-kernel entry stamp (0 = none).
 	profT0     int64
 	profWaitNS int64
 	kernelT0   int64
 
-	// waitKind/waitSince mark what synchronization point this thread
-	// is blocked in (waitNone when running). Written by the owning
-	// thread only while introspection is enabled (r.obs non-nil), read
-	// by the watchdog sampler and the /debug/omp handler — atomics
-	// make the cross-goroutine reads race-free. waitDetail names what
-	// the thread waits for (a taskgroup, unresolved predecessors).
-	waitKind   atomic.Int32
+	// waitSite/waitSince mark what synchronization point this thread
+	// is blocked in (nil when running). Written by the owning thread
+	// only while introspection is enabled (r.obs non-nil), read by the
+	// watchdog sampler and the /debug/omp handler — atomics make the
+	// cross-goroutine reads race-free. waitDetail names what the
+	// thread waits for (a taskgroup, unresolved predecessors).
+	waitSite   atomic.Pointer[waitSite]
 	waitSince  atomic.Int64
 	waitDetail atomic.Pointer[string]
 }
@@ -316,7 +316,7 @@ type Context struct {
 // single-thread parallel team consisting only of itself.
 func (r *Runtime) NewContext() *Context {
 	ctx := &Context{rt: r, gtid: int32(r.gtidSeq.Add(1) - 1)}
-	team := newTeam(r, nil, 1)
+	team := newTeam(r, 1)
 	ctx.team = team
 	ctx.curTask = newTask(r.layer, nil, nil, false)
 	team.members[0] = ctx
@@ -390,9 +390,9 @@ type Team struct {
 	// member attribution (profiler off, or an unlabeled serialized
 	// region — not worth two clock stamps on the 1T fast path).
 	profBucket *prof.Bucket
-	wg      sync.WaitGroup       // join group; reused after each Wait
-	panicMu sync.Mutex
-	panics  map[int]any // allocated on first member panic only
+	wg         sync.WaitGroup // join group; reused after each Wait
+	panicMu    sync.Mutex
+	panics     map[int]any // allocated on first member panic only
 
 	// regionID numbers the parallel region this team executes
 	// (observability subsystem).
@@ -478,9 +478,7 @@ func (t *Team) runMember(member *Context) {
 		// everything the wait sites already attributed. The breakdown
 		// sums to team wall time by construction. (A panicking member
 		// unwinds past this — abnormal regions go unattributed.)
-		if compute := ompt.Now() - member.profT0 - member.profWaitNS; compute > 0 {
-			pb.Add(int32(member.num), prof.Compute, compute)
-		}
+		member.attribute(pb, prof.Compute, ompt.Now()-member.profT0-member.profWaitNS)
 	}
 }
 
@@ -492,7 +490,7 @@ func (t *Team) spawnedMember(member *Context) {
 	t.memberMain(member)
 }
 
-func newTeam(r *Runtime, master *Context, size int) *Team {
+func newTeam(r *Runtime, size int) *Team {
 	t := &Team{
 		regionID:    int32(r.regionSeq.Add(1)),
 		rt:          r,
@@ -507,7 +505,6 @@ func newTeam(r *Runtime, master *Context, size int) *Team {
 		errbuf:      make([]error, size),
 	}
 	t.wakeCond = sync.NewCond(&t.wakeMu)
-	_ = master
 	return t
 }
 
@@ -828,20 +825,10 @@ func (t *Team) barrier(ctx *Context, kind int64) error {
 		return &MisuseError{Construct: "barrier",
 			Msg: "barrier may not appear inside a worksharing construct body"}
 	}
-	r := t.rt
 	ctx.barrierEpoch++
 	target := ctx.barrierEpoch * int64(t.size)
-	tool := r.loadTool()
-	obs := r.obs.Load()
-	// Wait-time accounting: the barrier's wait is the time spent in
-	// the barrier minus the time spent productively executing stolen
-	// tasks while waiting.
-	var t0, taskNS int64
-	timed := tool != nil
-	if tool != nil {
-		t0 = ompt.Now()
-		ctx.emitTo(tool, ompt.EvBarrierEnter, kind, ctx.barrierEpoch, 0, "")
-	}
+	var sp waitSpan
+	sp.begin(ctx, &barrierSite, kind, ctx.barrierEpoch, 0)
 	// Only the arrival that completes the epoch can flip another
 	// thread's wait predicate (the predicates are monotonic in
 	// arrivals), so earlier arrivals skip the broadcast — one wake per
@@ -849,133 +836,25 @@ func (t *Team) barrier(ctx *Context, kind int64) error {
 	// accounts the passage for the whole team in one striped add
 	// (barrier passages are counted at epoch completion — a barrier
 	// abandoned by a broken team counts zero) and stamps the release
-	// time waiters use as their wait-end clock.
+	// time waiters use as their wait-end clock. It starts no wait
+	// clock of its own: it is the last one in, with at most
+	// outstanding tasks left to drain.
 	arrived := t.arrivals.Add(1)
 	if arrived >= target {
 		if arrived == target {
-			r.metrics.Add(int32(ctx.num), metrics.Barriers, int64(t.size))
+			t.rt.metrics.Add(int32(ctx.num), metrics.Barriers, int64(t.size))
 			if t.size > 1 {
 				t.release.Store(ompt.Now())
 			}
 		}
 		t.wakeAll()
-	} else if !timed {
-		// This thread will wait (or drain tasks): start the clock for
-		// the always-on wait metrics. The fast path — last arrival,
-		// nothing left to do — reads no clock at all.
-		timed = true
-		t0 = ompt.Now()
 	}
-	if obs != nil {
-		ctx.waitSince.Store(ompt.Now())
-		ctx.waitKind.Store(waitBarrier)
-	}
-	// Sleep classification for the profiler: time parked in waitFor is
-	// a dependence stall when stalled tasks gate the queues, steal
-	// idling when runnable work exists elsewhere, and plain barrier
-	// waiting otherwise. Clock reads happen only around actual parks —
-	// the fast path is untouched.
-	pb := t.profBucket
-	var depNS, stealNS int64
-	err := func() error {
-		for {
-			if tk := t.claimTask(ctx); tk != nil {
-				if timed {
-					s := ompt.Now()
-					t.runTask(ctx, tk)
-					taskNS += ompt.Now() - s
-				} else {
-					t.runTask(ctx, tk)
-				}
-				continue
-			}
-			if t.broken.Load() != 0 {
-				return newBrokenAbort("barrier")
-			}
-			if t.arrivals.Load() >= target && t.outstanding.Load() == 0 {
-				return nil
-			}
-			var sleepT0 int64
-			sleepState := prof.BarrierWait
-			if pb != nil {
-				sleepT0 = ompt.Now()
-				if t.depStalled.Load() > 0 {
-					sleepState = prof.DependStall
-				} else if t.outstanding.Load() > 0 {
-					sleepState = prof.StealIdle
-				}
-			}
-			t.waitFor(func() bool {
-				return t.sched.hasRunnable() || t.broken.Load() != 0 ||
-					(t.arrivals.Load() >= target && t.outstanding.Load() == 0)
-			})
-			switch sleepState {
-			case prof.DependStall:
-				depNS += ompt.Now() - sleepT0
-			case prof.StealIdle:
-				stealNS += ompt.Now() - sleepT0
-			}
-		}
-	}()
-	if obs != nil {
-		ctx.waitKind.Store(waitNone)
-	}
-	if timed {
-		// With a tool attached the exit event wants precise timing;
-		// the metrics-only path ends the wait at the completer's
-		// release stamp instead of reading the clock again. A stale
-		// stamp (the epoch completed but the store has not landed
-		// yet, or the team aborted) falls back to the clock.
-		var end int64
-		if tool != nil {
-			end = ompt.Now()
-		} else if end = t.release.Load(); end < t0 {
-			end = ompt.Now()
-		}
-		wait := end - t0 - taskNS
-		if wait < 0 {
-			wait = 0
-		}
-		if wait > 0 {
-			// Striped by thread number, not gtid: the master's gtid is
-			// fresh every region, which would walk cold stripe lines
-			// in fork-join loops, while thread numbers are dense and
-			// stable across recycled regions. Any stripe key is
-			// correct — the adds stay atomic — this one keeps the
-			// line warm. The histogram also carries the wait-time sum
-			// (the omp4go_barrier_wait_ns_total counter mirrors it).
-			r.metrics.Observe(int32(ctx.num), metrics.HistBarrierWait, wait)
-			if pb != nil {
-				// The park classification above splits the wait; the
-				// unparked remainder (arrival skew, scan loops) is
-				// barrier waiting. Clamp to the measured wait so the
-				// breakdown never exceeds it.
-				dep, steal := depNS, stealNS
-				if dep > wait {
-					dep, steal = wait, 0
-				} else if dep+steal > wait {
-					steal = wait - dep
-				}
-				if bw := wait - dep - steal; bw > 0 {
-					pb.Add(int32(ctx.num), prof.BarrierWait, bw)
-				}
-				pb.Add(int32(ctx.num), prof.DependStall, dep)
-				pb.Add(int32(ctx.num), prof.StealIdle, steal)
-				ctx.profWaitNS += wait
-			}
-		}
-		if tool != nil {
-			ctx.emitTo(tool, ompt.EvBarrierExit, kind, ctx.barrierEpoch, wait, "")
-		}
-	} else if pb != nil && depNS+stealNS > 0 {
-		// The epoch-completing arrival skips wait timing (no t0), but
-		// with outstanding tasks it still drains the wait loop and can
-		// park. Those parks were measured directly around waitFor —
-		// attribute them so a gated dependence chain is never
-		// misread as compute.
-		pb.Add(int32(ctx.num), prof.DependStall, depNS)
-		pb.Add(int32(ctx.num), prof.StealIdle, stealNS)
-		ctx.profWaitNS += depNS + stealNS
-	}
+	sp.clock(arrived >= target)
+	err := sp.drain(func() bool {
+		return t.broken.Load() == 0 && t.arrivals.Load() >= target && t.outstanding.Load() == 0
+	})
+	// Untraced waiters end at the completer's release stamp instead of
+	// reading the clock again.
+	sp.end(t.release.Load())
 	return err
 }

@@ -111,7 +111,7 @@ func (s *MetricsServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // TraceDropped returns the total events lost to ring-buffer wrapping
 // across every trace consumer: the OMP4GO_TRACE tracer, any Tracer
 // attached as (or inside a Multi composition of) the event tool, and
-// the flight recorder's rings. Safe with live producers.
+// the flight recorder's Tracer. Safe with live producers.
 func (r *Runtime) TraceDropped() uint64 {
 	var dropped uint64
 	counted := map[*ompt.Tracer]bool{}

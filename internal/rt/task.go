@@ -7,7 +7,6 @@ import (
 
 	"github.com/omp4go/omp4go/internal/metrics"
 	"github.com/omp4go/omp4go/internal/ompt"
-	"github.com/omp4go/omp4go/internal/prof"
 )
 
 // Task states, as in the paper: free, in-progress, completed.
@@ -396,14 +395,6 @@ func (c *Context) inFinal() bool {
 	return false
 }
 
-// runTask executes a queue-claimed task on this thread. Completion
-// bookkeeping — the outstanding decrement and the single team wake —
-// lives in runClaimed's defer, so the deferred-task completion path
-// broadcasts exactly once (it used to wake here a second time).
-func (t *Team) runTask(ctx *Context, tk *task) {
-	t.runClaimed(ctx, tk)
-}
-
 // runClaimed runs a task already marked in-progress, pushing it onto
 // the thread's context stack for the duration. A task whose enclosing
 // taskgroup was cancelled is completed without running its body.
@@ -481,75 +472,10 @@ func (t *Team) runClaimed(ctx *Context, tk *task) {
 // completed children surface here (they used to be swallowed and
 // deferred to the region join).
 func (c *Context) TaskWait() error {
-	t := c.team
 	cur := c.curTask
-	if cur.children.Load() == 0 {
-		return joinErrors(cur.takeChildErrs())
-	}
-	// The wait marker (introspection only) lets the watchdog and
-	// /debug/omp distinguish a thread draining a taskwait from one
-	// still executing its body. waitSince is cleared with the kind so
-	// a later sample never pairs a fresh wait with this stale
-	// timestamp.
-	if obs := c.rt.obs.Load(); obs != nil {
-		c.waitSince.Store(ompt.Now())
-		c.waitKind.Store(waitTaskwait)
-		detail := itoa(int(cur.children.Load())) + " child task(s)"
-		c.waitDetail.Store(&detail)
-		defer func() {
-			c.waitKind.Store(waitNone)
-			c.waitSince.Store(0)
-			c.waitDetail.Store(nil)
-		}()
-	}
-	// Profiler: the taskwait's wait is the time in this loop minus
-	// time productively running claimed tasks (whose own wait sites
-	// attribute themselves); parks while dependence-stalled tasks gate
-	// the queues classify as depend stalls.
-	pb := t.profBucket
-	var t0, taskNS, depNS int64
-	if pb != nil {
-		t0 = ompt.Now()
-		defer func() {
-			wait := ompt.Now() - t0 - taskNS
-			if wait <= 0 {
-				return
-			}
-			dep := depNS
-			if dep > wait {
-				dep = wait
-			}
-			if tw := wait - dep; tw > 0 {
-				pb.Add(int32(c.num), prof.Taskwait, tw)
-			}
-			pb.Add(int32(c.num), prof.DependStall, dep)
-			c.profWaitNS += wait
-		}()
-	}
-	for cur.children.Load() > 0 {
-		if tk := t.claimTask(c); tk != nil {
-			if pb != nil {
-				s := ompt.Now()
-				t.runTask(c, tk)
-				taskNS += ompt.Now() - s
-			} else {
-				t.runTask(c, tk)
-			}
-			continue
-		}
-		if t.broken.Load() != 0 {
-			return newBrokenAbort("taskwait")
-		}
-		var sleepT0 int64
-		stalled := pb != nil && t.depStalled.Load() > 0
-		if stalled {
-			sleepT0 = ompt.Now()
-		}
-		t.waitFor(func() bool {
-			return cur.children.Load() == 0 || t.sched.hasRunnable() || t.broken.Load() != 0
-		})
-		if stalled {
-			depNS += ompt.Now() - sleepT0
+	if n := cur.children.Load(); n > 0 {
+		if err := c.waitTasks(&taskwaitSite, n, func() bool { return cur.children.Load() == 0 }); err != nil {
+			return err
 		}
 	}
 	return joinErrors(cur.takeChildErrs())

@@ -106,8 +106,7 @@ func (c *Context) CriticalEnter(name string) {
 		// omp4go_critical_wait_ns_total counter mirrors it.
 		r.metrics.Observe(c.gtid, metrics.HistCriticalWait, wait)
 		if pb := c.team.profBucket; pb != nil {
-			pb.Add(int32(c.num), prof.Critical, wait)
-			c.profWaitNS += wait
+			c.attribute(pb, prof.Critical, wait)
 		}
 	}
 	// The entry timestamp stacks for the hold-time measurement on

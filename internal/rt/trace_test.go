@@ -426,3 +426,57 @@ func TestTraceDisabledEmitsNothing(t *testing.T) {
 		t.Fatalf("%d events recorded with tracing disabled", n)
 	}
 }
+
+// TestTracerRecordsWhileRegionRuns snapshots a Tracer while a region
+// is still emitting into it: one member submits tasks until the
+// snapshots are done while the other steals and runs them, and a
+// small ring keeps wrapping under the reader. Every snapshot must be
+// coherent — time-ordered, no torn (zero) records — and under -race
+// the reads must not race the pushes.
+func TestTracerRecordsWhileRegionRuns(t *testing.T) {
+	r := newTestRuntime(LayerAtomic)
+	defer r.Shutdown()
+	tr := ompt.NewTracer(64)
+	r.SetTool(tr)
+	started, snapped := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		ctx := r.NewContext()
+		done <- r.Parallel(ctx, ParallelOpts{NumThreads: 2}, func(c *Context) error {
+			if c.num != 0 {
+				return nil // drains the tasks from the closing barrier
+			}
+			close(started)
+			for {
+				select {
+				case <-snapped:
+					return c.TaskWait()
+				default:
+				}
+				if err := c.SubmitTask(TaskOpts{}, func(*Context) error { return nil }); err != nil {
+					return err
+				}
+			}
+		})
+	}()
+	<-started
+	for i := 0; i < 50; i++ {
+		recs := tr.Records()
+		for j, rec := range recs {
+			if rec.Kind == ompt.EvNone {
+				t.Fatalf("snapshot %d: record %d is torn: %+v", i, j, rec)
+			}
+			if j > 0 && rec.Time < recs[j-1].Time {
+				t.Fatalf("snapshot %d: records out of time order at %d", i, j)
+			}
+		}
+		_ = tr.Dropped()
+	}
+	close(snapped)
+	if err := <-done; err != nil {
+		t.Fatalf("region: %v", err)
+	}
+	if tr.Dropped() == 0 {
+		t.Error("the 64-record rings never wrapped; the test did not exercise a live overwrite")
+	}
+}

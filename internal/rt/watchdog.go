@@ -204,14 +204,14 @@ func (w *watchdog) diagnose(t *Team, now, thresholdNS int64) (StallReport, bool)
 		if m == nil {
 			continue
 		}
-		k := m.waitKind.Load()
-		if k == waitNone {
+		site := m.waitSite.Load()
+		if site == nil {
 			missing = append(missing, m.gtid)
 			continue
 		}
 		waitNS := now - m.waitSince.Load()
 		sm := StallMember{GTID: m.gtid, ThreadNum: m.num,
-			Wait: waitKindString(k), WaitNS: waitNS}
+			Wait: site.name, WaitNS: waitNS}
 		if d := m.waitDetail.Load(); d != nil {
 			sm.WaitFor = *d
 		}
@@ -219,7 +219,7 @@ func (w *watchdog) diagnose(t *Team, now, thresholdNS int64) (StallReport, bool)
 		if waitNS >= thresholdNS {
 			stalled = true
 			if kind == "" {
-				kind = waitKindString(k)
+				kind = site.name
 			}
 		}
 	}

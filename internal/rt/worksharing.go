@@ -400,10 +400,7 @@ func (c *Context) ForEnd(b *LoopBounds) error {
 		// Close the compiled-kernel span opened by KernelEnter: its
 		// time attributes to the kernel state instead of compute.
 		if pb := c.team.profBucket; pb != nil {
-			if ns := ompt.Now() - c.kernelT0; ns > 0 {
-				pb.Add(int32(c.num), prof.Kernel, ns)
-				c.profWaitNS += ns
-			}
+			c.attribute(pb, prof.Kernel, ompt.Now()-c.kernelT0)
 		}
 		c.kernelT0 = 0
 	}

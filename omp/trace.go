@@ -37,9 +37,9 @@ func SetTool(t Tool) { defaultRuntime().SetTool(t) }
 
 // EnableTrace attaches a fresh Tracer to the default runtime and
 // returns it. Run the regions of interest, then export with the
-// tracer's WriteChromeTrace or WriteSummary (after the regions have
-// completed — the collector is not synchronized against regions still
-// in flight).
+// tracer's WriteChromeTrace or WriteSummary once the regions have
+// completed (a snapshot of regions still in flight is safe but
+// partial).
 func EnableTrace() *Tracer {
 	t := ompt.NewTracer(0)
 	defaultRuntime().SetTool(t)
